@@ -35,16 +35,13 @@ campaign restarts from where it stopped with ``--resume``.  ``--fault-plan
 PATH`` injects a deterministic CXL RAS fault schedule (see
 :mod:`repro.faults`) into every simulated cell.
 
-Scale (``campaign``): ``--shard i/N`` runs one deterministic slice of the
-cell grid (for distributing a campaign by hand or across hosts);
-``--shards N`` drives N local shard subprocesses against a shared
-``--cache-dir``, merges their checkpoints and columnar-store manifests,
-and assembles the final dataset byte-identically to a single-process run.
-``--coordinator [HOST:]PORT`` runs the campaign through the
-fault-tolerant lease-based coordinator with ``--dist-workers`` worker
-subprocesses (``repro coordinate`` and ``repro worker`` are the
-standalone halves for real multi-host fleets) -- same byte-identity
-contract, surviving worker death, hangs and network chaos.
+Scale (``campaign``): ``--jobs N`` fans cells over an in-process pool;
+``--coordinator [HOST:]PORT`` is the one multi-process path.  It runs
+the campaign through the fault-tolerant lease-based coordinator with
+``--dist-workers`` worker subprocesses (``repro coordinate`` and ``repro
+worker`` are the standalone halves for real multi-host fleets), then
+assembles the final dataset byte-identically to a single-process run,
+surviving worker death, hangs and network chaos.
 Finished cells are promoted into the append-only columnar store under
 ``<cache-dir>/store/``, which ``repro query`` scans across campaigns.
 """
@@ -209,28 +206,17 @@ def cmd_campaign(args) -> int:
     from repro.hw.platform import platform_by_name
     from repro.workloads import all_workloads, workloads_by_suite
 
-    from repro.runtime import parse_shard
-
     if args.resume and not args.cache_dir:
         raise MelodyError(
             "--resume requires --cache-dir (checkpoints live in the "
             "cache directory)"
         )
-    if args.shard and args.shards:
-        raise MelodyError("--shard and --shards are mutually exclusive")
-    shard = parse_shard(args.shard) if args.shard else None
-    if args.shards is not None and args.shards < 1:
-        raise MelodyError(f"--shards must be >= 1, got {args.shards}")
-    if args.shards and args.shards > 1 and not args.cache_dir:
-        raise MelodyError(
-            "--shards requires --cache-dir (shards meet in the shared "
-            "run cache, checkpoints and columnar store)"
-        )
     if args.coordinator:
-        if args.shard or args.shards:
+        if args.job_id:
             raise MelodyError(
-                "--coordinator is mutually exclusive with "
-                "--shard/--shards"
+                "--coordinator cannot take --job-id (the coordinator "
+                "writes the campaign-wide checkpoint the follow-up "
+                "pass resumes from)"
             )
         if not args.cache_dir:
             raise MelodyError(
@@ -257,30 +243,21 @@ def cmd_campaign(args) -> int:
             name="cli", platform=platform, targets=targets,
             workloads=tuple(workloads),
         )
-        if args.shards and args.shards > 1:
-            # Fan the grid out over N shard subprocesses, merge their
-            # checkpoints and store manifests, then fall through to the
-            # normal (unsharded) pass below: every cell is now warm, so
-            # it assembles records and exports byte-identically to a
-            # single-process run -- that equivalence is the contract.
-            code = _run_shard_fleet(args, campaign)
-            if code != 0:
-                return code
-            args.resume = True  # adopt merged progress + quarantine
-        elif args.coordinator:
-            # Same contract over the network: the lease-based
-            # coordinator commits every worker result (and the final
-            # checkpoint) into --cache-dir, then the warm pass below
-            # assembles the byte-identical dataset.
+        if args.coordinator:
+            # The lease-based coordinator commits every worker result
+            # (and the final checkpoint) into --cache-dir, then the warm
+            # pass below assembles records and exports byte-identically
+            # to a single-process run -- that equivalence is the
+            # contract.
             code = _run_dist_fleet(args, campaign)
             if code != 0:
                 return code
-            args.resume = True
-        checkpointer = _attach_checkpointer(args, engine, campaign, shard)
-        result = campaign_melody().run(campaign, shard)
+            args.resume = True  # adopt the coordinator's quarantine
+        checkpointer = _attach_checkpointer(args, engine, campaign)
+        result = campaign_melody().run(campaign)
         if checkpointer is not None:
             checkpointer.finalize(engine.failed)
-        promoted = _promote_to_store(args, engine, campaign, shard)
+        promoted = _promote_to_store(args, engine, campaign)
         from repro.analysis.report import format_cdf_row
 
         print(f"{len(result.records)} records "
@@ -302,14 +279,8 @@ def cmd_campaign(args) -> int:
     return _report_failed_cells(result.failed, args.strict_cells)
 
 
-def _attach_checkpointer(args, engine, campaign, shard=None):
-    """Create/resume the campaign checkpoint when a cache dir is present.
-
-    A shard checkpoints under its own job id (``shard<i>of<N>`` unless
-    ``--job-id`` overrides it) and sizes ``total_cells`` to the cells it
-    owns; ``repro.runtime.merge_checkpoints`` folds the shard documents
-    back into the campaign-wide one.
-    """
+def _attach_checkpointer(args, engine, campaign):
+    """Create/resume the campaign checkpoint when a cache dir is present."""
     if not args.cache_dir:
         return None
     from repro.core.melody import campaign_cells
@@ -321,9 +292,7 @@ def _attach_checkpointer(args, engine, campaign, shard=None):
 
     fingerprint = campaign_fingerprint(campaign)
     job_id = getattr(args, "job_id", None) or ""
-    if shard is not None and not job_id:
-        job_id = shard.job_id
-    base_workloads, grid, _ = campaign_cells(campaign, shard)
+    base_workloads, grid, _ = campaign_cells(campaign)
     total = len(base_workloads) + len(grid)
     completed = 0
     if args.resume:
@@ -350,52 +319,13 @@ def _attach_checkpointer(args, engine, campaign, shard=None):
     return checkpointer
 
 
-def _promote_to_store(args, engine, campaign, shard=None) -> int:
+def _promote_to_store(args, engine, campaign) -> int:
     """Promote this campaign's finished runs into the columnar store."""
     if not args.cache_dir:
         return 0
     from repro.runtime import campaign_fingerprint
 
-    return engine.cache.promote_store(
-        campaign_fingerprint(campaign),
-        job_id=shard.job_id if shard is not None else "",
-    )
-
-
-def _shard_argv(args, shard_text: str) -> list:
-    """The ``repro campaign`` argv of one shard subprocess.
-
-    Execution flags pass through; exports and observability artifacts
-    stay with the parent's merged pass (a shard writing the CSV would
-    clobber the others with a partial dataset).
-    """
-    argv = [
-        "campaign",
-        "--platform", args.platform,
-        "--targets", *args.targets,
-        "--cache-dir", args.cache_dir,
-        "--shard", shard_text,
-        "--checkpoint-every", str(args.checkpoint_every),
-    ]
-    if args.suite:
-        argv += ["--suite", args.suite]
-    if args.sample > 1:
-        argv += ["--sample", str(args.sample)]
-    if args.jobs:
-        argv += ["--jobs", str(args.jobs)]
-    if args.engine and args.engine != "auto":
-        argv += ["--engine", args.engine]
-    if args.fault_plan:
-        argv += ["--fault-plan", args.fault_plan]
-    if args.cell_timeout is not None:
-        argv += ["--cell-timeout", str(args.cell_timeout)]
-    if args.cell_retries is not None:
-        argv += ["--cell-retries", str(args.cell_retries)]
-    if args.resume:
-        argv += ["--resume"]
-    if args.strict:
-        argv += ["--strict"]
-    return argv
+    return engine.cache.promote_store(campaign_fingerprint(campaign))
 
 
 def _subprocess_env():
@@ -416,7 +346,7 @@ class _fleet_cleanup:
     """Terminate leftover fleet children on any exit path.
 
     A ``KeyboardInterrupt`` (or a SIGTERM, which this context remaps to
-    one in the main thread) mid-fleet must not orphan shard or worker
+    one in the main thread) mid-fleet must not orphan worker
     subprocesses: whatever is still running is terminated, given a grace
     period, then killed.  Children that already exited are reaped
     without further ceremony.
@@ -460,60 +390,6 @@ class _fleet_cleanup:
         return False
 
 
-def _run_shard_fleet(args, campaign) -> int:
-    """Run ``--shards N`` worker subprocesses and merge their outputs.
-
-    Each worker executes ``repro campaign --shard i/N`` against the
-    shared cache dir; afterwards the per-shard checkpoints merge into
-    the campaign-wide document and the per-shard store manifests
-    compact into one.  Quarantine exit codes (3) from shards are *not*
-    final -- the parent's merged pass re-reports restored quarantine
-    records and picks the exit code; any other nonzero shard exit
-    propagates as this fleet's exit code.  An interrupt (Ctrl-C or
-    SIGTERM) terminates every child instead of orphaning it.
-    """
-    import subprocess
-
-    from repro.runtime import campaign_fingerprint, merge_checkpoints
-    from repro.store import ResultStore
-    from pathlib import Path
-
-    count = args.shards
-    fingerprint = campaign_fingerprint(campaign)
-    print(f"sharding campaign {fingerprint[:12]} across {count} "
-          f"local workers")
-    env = _subprocess_env()
-    fleet_code = 0
-    with _fleet_cleanup() as fleet:
-        procs = []
-        for index in range(count):
-            argv = [sys.executable, "-m", "repro"] \
-                + _shard_argv(args, f"{index}/{count}")
-            proc = subprocess.Popen(argv, env=env)
-            fleet.add(proc)
-            procs.append((index, proc))
-        for index, proc in procs:
-            code = proc.wait()
-            if code not in (0, 3):
-                if fleet_code == 0:
-                    fleet_code = code
-                print(f"error: shard {index}/{count} exited {code}",
-                      file=sys.stderr)
-    if fleet_code:
-        return fleet_code
-    state = merge_checkpoints(args.cache_dir, fingerprint)
-    if state is not None:
-        print(f"merged shard checkpoints: {state.completed_cells} cells "
-              f"executed, {len(state.failed)} quarantined")
-    entries = ResultStore(Path(args.cache_dir) / "store").compact(
-        fingerprint
-    )
-    if entries:
-        print(f"compacted columnar store: {entries} entries under "
-              f"campaign {fingerprint[:12]}")
-    return 0
-
-
 def _parse_endpoint(text: str, default_host: str = "127.0.0.1"):
     """Parse ``[HOST:]PORT`` into (host, port)."""
     host, _, port_text = text.rpartition(":")
@@ -533,10 +409,10 @@ def _run_dist_fleet(args, campaign) -> int:
 
     The coordinator binds the requested endpoint and ``--dist-workers``
     ``repro worker`` subprocesses dial it (optionally through the seeded
-    ``--dist-net-chaos`` transport).  Like ``--shards``, success leaves
-    every cell warm in ``--cache-dir`` and a complete merged checkpoint,
-    so the caller's follow-up resume pass assembles exports
-    byte-identical to a solo run.  Children are terminated on any exit
+    ``--dist-net-chaos`` transport).  Success leaves every cell warm in
+    ``--cache-dir`` and a complete campaign checkpoint, so the caller's
+    follow-up resume pass assembles exports byte-identical to a solo
+    run.  Children are terminated on any exit
     path, interrupts included.
     """
     import subprocess
@@ -1230,15 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scope the checkpoint file to this job so "
                         "concurrent runs of the same campaign do not "
                         "clobber each other ([A-Za-z0-9._-], <= 64 chars)")
-    p.add_argument("--shard", default=None, metavar="I/N",
-                   help="run only shard I of N (deterministic cell "
-                        "partition by campaign fingerprint); checkpoints "
-                        "under job id shard<I>of<N>")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="fan the campaign out over N local worker "
-                        "processes sharing --cache-dir, merge their "
-                        "checkpoints and columnar store, then assemble "
-                        "the (byte-identical) dataset from warm cells")
     p.add_argument("--coordinator", default=None, metavar="[HOST:]PORT",
                    help="run the campaign through an in-process "
                         "lease-based coordinator on this endpoint with "

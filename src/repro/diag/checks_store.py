@@ -2,9 +2,8 @@
 
 The columnar store's contract is byte-identity -- a result promoted
 into segments + manifest and read back must be indistinguishable from
-the JSON-tier document it came from, scans must agree with brute-force
-filtering, and merging two shards' manifests must either produce the
-exact union or refuse loudly.  These checks build real event-sim and
+the JSON-tier document it came from, and scans must agree with
+brute-force filtering.  These checks build real event-sim and
 analytic results, push them through a temporary store, and compare
 canonical documents (ndarray-normalized, so float bit patterns count).
 """
@@ -21,10 +20,10 @@ from repro.diag.context import DiagContext
 from repro.diag.registry import invariant, subjects
 from repro.diag.report import Violation
 from repro.runtime.cache import RunCache, run_key
-from repro.store import ResultStore, StoreConflict, canonical_document
+from repro.store import ResultStore, canonical_document
 
 
-def _sim_result(ctx: DiagContext, offered_gbps: float = 4.0):
+def _sim_result(ctx: DiagContext):
     from repro.hw.cxl.eventdevice import EventDrivenDevice
 
     devices = ctx.cxl_devices()
@@ -32,7 +31,7 @@ def _sim_result(ctx: DiagContext, offered_gbps: float = 4.0):
     if device is None:
         return None
     return EventDrivenDevice(device, seed=ctx.seed).simulate(
-        2_000, offered_gbps, read_fraction=0.75
+        2_000, 4.0, read_fraction=0.75
     )
 
 
@@ -154,71 +153,6 @@ def check_store_scan_consistency(ctx: DiagContext) -> Iterator[Violation]:
                     f"{len(want)}",
                     context={"probe": str(probe)},
                 )
-
-
-@invariant(
-    name="store-merge-identity",
-    layer="store",
-    description="compacting shard manifests yields the exact union and "
-    "refuses non-identical duplicate cells",
-)
-def check_store_merge_identity(ctx: DiagContext) -> Iterator[Violation]:
-    """Two shards compact to their union; conflicting overlap raises."""
-    subjects(check_store_merge_identity, 2)
-    sim_a = _sim_result(ctx, offered_gbps=2.0)
-    sim_b = _sim_result(ctx, offered_gbps=6.0)
-    if sim_a is None or sim_b is None:
-        return
-    fingerprint = "d" * 64
-    with tempfile.TemporaryDirectory(prefix="repro-diag-") as tmp:
-        store = ResultStore(Path(tmp) / "store")
-        shared_key = "c" * 64
-        for job, sim, extra_key in (
-            ("shard0of2", sim_a, "a" * 64),
-            ("shard1of2", sim_b, "b" * 64),
-        ):
-            writer = store.writer(fingerprint, job)
-            writer.add(extra_key, sim.to_dict())
-            writer.add(shared_key, sim_a.to_dict())  # identical overlap
-            writer.commit()
-        store.refresh()
-        store.compact(fingerprint)
-        expected = {"a" * 64, "b" * 64, shared_key}
-        if set(store.keys()) != expected:
-            yield Violation(
-                layer="store",
-                check="store-merge-identity",
-                subject="union",
-                message=f"compacted store holds {len(store)} keys, "
-                f"expected {len(expected)}",
-            )
-        merged = _canonical_json(store.get(shared_key))
-        if merged != _canonical_json(sim_a.to_dict()):
-            yield Violation(
-                layer="store",
-                check="store-merge-identity",
-                subject="overlap",
-                message="identical duplicate cell changed across the merge",
-            )
-    with tempfile.TemporaryDirectory(prefix="repro-diag-") as tmp:
-        store = ResultStore(Path(tmp) / "store")
-        for job, sim in (("shard0of2", sim_a), ("shard1of2", sim_b)):
-            writer = store.writer(fingerprint, job)
-            writer.add(shared_key, sim.to_dict())  # conflicting overlap
-            writer.commit()
-        store.refresh()
-        try:
-            store.compact(fingerprint)
-        except StoreConflict:
-            pass
-        else:
-            yield Violation(
-                layer="store",
-                check="store-merge-identity",
-                subject="conflict",
-                message="compact silently merged two different documents "
-                "under one cell key",
-            )
 
 
 @invariant(

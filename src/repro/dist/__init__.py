@@ -1,8 +1,8 @@
 """repro.dist: the fault-tolerant multi-host campaign fabric.
 
 One coordinator (:mod:`repro.dist.coordinator`) owns one campaign,
-partitioned into cell-granular work units (the same partition tokens
-``--shard`` hashes) and handed to any number of workers
+partitioned into cell-granular work units (identified by
+fingerprint-salted cell tokens) and handed to any number of workers
 (:mod:`repro.dist.worker`) over a length-prefixed JSON frame protocol
 (:mod:`repro.dist.frames`) under **time-bounded leases**
 (:mod:`repro.dist.lease`).  The design center is a hostile fleet:
@@ -21,6 +21,11 @@ partitioned into cell-granular work units (the same partition tokens
   to a solo run (the ``dist`` diag layer re-proves this on every
   ``repro validate``).
 
+This is the one multi-process campaign path: ``repro campaign
+--coordinator`` runs it on one host, ``repro coordinate`` plus ``repro
+worker`` across many.  In-process fan-out is the engine's ``--jobs``
+pool.
+
 Nothing here leaves the standard library: sockets, threads and JSON.
 """
 
@@ -29,7 +34,9 @@ from repro.dist.coordinator import (
     Coordinator,
     DistSummary,
     PROTOCOL_VERSION,
+    baseline_token,
     campaign_units,
+    grid_token,
     result_digest,
 )
 from repro.dist.frames import (
@@ -57,10 +64,12 @@ __all__ = [
     "PROTOCOL_VERSION",
     "WorkUnit",
     "Worker",
+    "baseline_token",
     "campaign_units",
     "decode_payload",
     "encode_frame",
     "encode_payload",
+    "grid_token",
     "resolve_target",
     "result_digest",
 ]

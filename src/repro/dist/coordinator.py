@@ -1,10 +1,11 @@
 """The fault-tolerant campaign coordinator (the ``repro coordinate`` brain).
 
 One coordinator owns one campaign.  It partitions the campaign into
-:class:`~repro.dist.lease.WorkUnit` cells (the same partition tokens
-``repro.runtime.shard`` hashes for ``--shard i/N``), listens on a TCP
-port, and hands units to whatever workers connect under time-bounded
-leases.  Everything a flaky fleet can do is survivable by construction:
+:class:`~repro.dist.lease.WorkUnit` cells (identified by the
+fingerprint-salted tokens of :func:`grid_token`/:func:`baseline_token`),
+listens on a TCP port, and hands units to whatever workers connect
+under time-bounded leases.  Everything a flaky fleet can do is
+survivable by construction:
 
 * a worker that stops heartbeating gets its socket closed, which
   releases its leases (attempt charged) for reassignment to live peers;
@@ -64,18 +65,28 @@ _TICK_S = 0.05
 """Monitor cadence; also bounds how stale expiry checks can be."""
 
 
+def grid_token(fingerprint: str, workload: str, target: str) -> str:
+    """Unit id of one (workload, target) grid cell."""
+    return f"{fingerprint}\x1f{workload}\x1f{target}"
+
+
+def baseline_token(fingerprint: str, workload: str) -> str:
+    """Unit id of one workload's baseline cell."""
+    return f"{fingerprint}\x1f{workload}\x1fbaseline\x00"
+
+
 def campaign_units(campaign, fingerprint: str) -> List[WorkUnit]:
     """Flatten one campaign into leasable units, baselines first.
 
     Exactly the cells :func:`repro.core.melody.campaign_cells` plans for
-    a solo run (capacity skips never become units), identified by the
-    shard-partition tokens, so unit identity is stable across
-    coordinator restarts and agrees with ``--shard`` runs of the same
-    campaign.
+    a solo run (capacity skips never become units), identified by
+    :func:`baseline_token`/:func:`grid_token`.  Those ids are pure
+    functions of campaign content -- salted by the campaign fingerprint,
+    free of Python's randomized ``hash()`` -- so unit identity is stable
+    across processes and coordinator restarts.
     """
     from repro.core.melody import campaign_cells
     from repro.runtime.cache import run_key
-    from repro.runtime.shard import baseline_token, grid_token
 
     base_workloads, grid, _ = campaign_cells(campaign)
     baseline_target = campaign.baseline or campaign.platform.local_target()

@@ -61,7 +61,7 @@ class WorkUnit:
     """One leasable unit: a single campaign cell, by identity."""
 
     unit_id: str
-    """Stable partition token (see :mod:`repro.runtime.shard`)."""
+    """Stable cell token (see :func:`repro.dist.coordinator.grid_token`)."""
     kind: str
     """``baseline`` or ``grid``."""
     workload: str

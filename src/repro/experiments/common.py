@@ -46,9 +46,9 @@ class ValidatingMelody(Melody):
     rendered figure.
     """
 
-    def run(self, campaign: Campaign, shard=None) -> CampaignResult:
+    def run(self, campaign: Campaign) -> CampaignResult:
         """Execute the campaign; in strict mode, validate before returning."""
-        result = super().run(campaign, shard)
+        result = super().run(campaign)
         if _STRICT:
             from repro.diag.runcheck import validate_campaign_result
 

@@ -49,6 +49,7 @@ same contract across stacked cells, enforced by ``eventsim-batch-identity``).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,15 +121,17 @@ class VectorTimeline:
     refresh_collisions: int
 
 
-class _ScratchArena:
-    """Reusable kernel work buffers (the hot-loop allocation satellite).
+class _ScratchArena(threading.local):
+    """Reusable kernel work buffers, one set per thread.
 
     One flat buffer per (name, dtype), grown geometrically and viewed to
     the requested shape, so repeated kernel calls of similar size stop
     paying an allocator round-trip per temporary.  Buffers hold stale
     garbage between calls; every user fully overwrites (or scatter-fills
-    after zeroing) before reading.  Single-threaded by design, like the
-    engines themselves.
+    after zeroing) before reading.  The arena is thread-local: NumPy
+    releases the GIL inside the kernels, so threads that shared buffers
+    (``repro serve --workers N``) would overwrite each other's
+    temporaries mid-simulation.
     """
 
     def __init__(self) -> None:

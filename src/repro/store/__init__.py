@@ -20,10 +20,10 @@ ROADMAP item 1 calls out.  This package is the analytical tier the cache
   store round-trips :class:`~repro.hw.cxl.eventdevice.EventSimResult`
   and analytic run documents bit-exactly while keeping every float in
   binary;
-* :class:`~repro.store.store.ResultStore` -- the read/scan/merge facade:
-  O(1) keyed reads through mmapped segments, vectorized predicate scans
-  over the manifest columns, and shard-manifest merging with
-  bit-identity overlap verification.
+* :class:`~repro.store.store.ResultStore` -- the read/scan facade:
+  O(1) keyed reads through mmapped segments and vectorized predicate
+  scans over the manifest columns, with duplicate keys across
+  manifests shadowed so each cell reports once.
 
 Bit-identity is the contract: a result read back from the store is
 indistinguishable from the JSON-tier copy (the ``store`` diag layer and
@@ -39,14 +39,13 @@ from repro.store.codec import (
 )
 from repro.store.manifest import Manifest, ManifestEntry
 from repro.store.segments import SegmentWriter, open_segment
-from repro.store.store import ResultStore, StoreConflict, StoreWriter
+from repro.store.store import ResultStore, StoreWriter
 
 __all__ = [
     "Manifest",
     "ManifestEntry",
     "ResultStore",
     "SegmentWriter",
-    "StoreConflict",
     "StoreWriter",
     "canonical_document",
     "join_document",

@@ -1,6 +1,6 @@
 """Columnar manifests: one compact JSON document per (fingerprint, job).
 
-A manifest maps every cell key of one campaign (or one shard of it) to
+A manifest maps every cell key of one campaign (or one job of it) to
 its segment span, plus the queryable columns -- kind, device, workload,
 fault-plan key, operating point, latency count.  The encoding is
 columnar and dictionary-compressed so a 10k-cell manifest is a few
@@ -19,7 +19,7 @@ hundred KB, not a 10k-file directory:
   hosts without dragging the JSON tier along.
 
 Manifests are immutable once written (``<fingerprint>.json``, or
-``<fingerprint>.<job_id>.json`` for one shard's slice) and written
+``<fingerprint>.<job_id>.json`` for one job's slice) and written
 atomically, mirroring the run cache's temp-file idiom.
 """
 
@@ -304,7 +304,7 @@ class Manifest:
     # -- disk ------------------------------------------------------------
 
     def filename(self) -> str:
-        """``<fp>.json``, or ``<fp>.<job_id>.json`` for a shard slice."""
+        """``<fp>.json``, or ``<fp>.<job_id>.json`` for one job's slice."""
         if self.job_id:
             return f"{self.fingerprint}.{self.job_id}.json"
         return f"{self.fingerprint}.json"

@@ -8,8 +8,8 @@ and the OS page cache is the only cache we need.
 
 Writers never share a segment file: each :class:`SegmentWriter` derives
 its file names from a caller-supplied ``writer_id`` (campaign
-fingerprint + shard job id), so N shard processes can append
-concurrently into one ``segments/`` directory without coordination.
+fingerprint + job id), so several processes can append concurrently
+into one ``segments/`` directory without coordination.
 Files roll at :data:`SEGMENT_ROLL_BYTES` so a million-cell campaign does
 not produce one unwieldy multi-gigabyte file.
 """
@@ -56,7 +56,7 @@ class SegmentWriter:
         self._seq = 0
         self._handle = None
         self._offset = 0  # elements already in the current file
-        # Resume past files from an interrupted shard instead of
+        # Resume past files from an interrupted writer instead of
         # clobbering them: spans in an already-written manifest must
         # keep pointing at the bytes they named.
         prefix = f"{writer_id}-"
@@ -125,7 +125,7 @@ _MMAP_CACHE: Dict[Tuple[str, int], Optional[np.ndarray]] = {}
 def open_segment(path: Path) -> np.ndarray:
     """Read-only float64 view of a whole segment file, memoized.
 
-    Memoized per ``(path, size)`` so a segment a concurrent shard is
+    Memoized per ``(path, size)`` so a segment a concurrent writer is
     still appending to is remapped when it grows, while repeated reads
     of a settled segment share one mapping.  Empty files map to an empty
     array (``np.memmap`` refuses zero-length maps).

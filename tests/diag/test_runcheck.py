@@ -117,7 +117,7 @@ class TestStrictMode:
             record, slowdown_pct=record.slowdown_pct + 10.0
         )
         monkeypatch.setattr(
-            Melody, "run", lambda self, c, shard=None: campaign_result
+            Melody, "run", lambda self, c: campaign_result
         )
         with pytest.raises(DiagnosticError, match="diag-test") as excinfo:
             ValidatingMelody().run(campaign)
@@ -131,6 +131,6 @@ class TestStrictMode:
             record, slowdown_pct=record.slowdown_pct + 10.0
         )
         monkeypatch.setattr(
-            Melody, "run", lambda self, c, shard=None: campaign_result
+            Melody, "run", lambda self, c: campaign_result
         )
         assert ValidatingMelody().run(campaign) is campaign_result

@@ -1,8 +1,7 @@
 """CLI surface of the dist stack: endpoints, flag validation, fleets.
 
-The fleet tests exercise the satellite regression: shard/worker child
-exit codes must propagate to the parent's exit code, and an interrupt
-mid-fleet must terminate every child instead of orphaning it.
+The fleet tests pin the cleanup contract: an interrupt mid-fleet must
+terminate every worker child instead of orphaning it.
 """
 
 import signal
@@ -32,13 +31,22 @@ class TestParseEndpoint:
 
 
 class TestCampaignFlagValidation:
-    def test_coordinator_excludes_shards(self, capsys, tmp_path):
+    def test_coordinator_rejects_job_id(self, capsys, tmp_path):
+        # The coordinator finalizes the campaign-wide checkpoint; a
+        # job-scoped follow-up pass would miss it and rerun quarantined
+        # cells locally.
         code = main([
-            "campaign", "--coordinator", ":0", "--shards", "2",
+            "campaign", "--coordinator", ":0", "--job-id", "j1",
             "--cache-dir", str(tmp_path),
         ])
         assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert "--job-id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--shards", "2"], ["--shard", "0/2"]])
+    def test_shard_flags_are_gone(self, flags, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--cache-dir", str(tmp_path), *flags])
+        assert excinfo.value.code == 2
 
     def test_coordinator_requires_cache_dir(self, capsys):
         code = main(["campaign", "--coordinator", ":0"])
@@ -118,38 +126,3 @@ class TestFleetCleanup:
         with _fleet_cleanup() as fleet:
             fleet.add(done)
         assert not done.terminated and not done.killed
-
-
-class TestShardFleetExitCodes:
-    def _run(self, monkeypatch, tmp_path, codes):
-        spawned = []
-
-        def fake_popen(argv, env=None, **kwargs):
-            proc = FakeProc(code=codes[len(spawned)])
-            spawned.append(proc)
-            return proc
-
-        monkeypatch.setattr(subprocess, "Popen", fake_popen)
-        code = main([
-            "campaign", "--platform", "EMR2S", "--targets", "cxl-a",
-            "--suite", "GAPBS", "--sample", "6",
-            "--cache-dir", str(tmp_path), "--shards", str(len(codes)),
-        ])
-        return code, spawned
-
-    def test_nonzero_shard_code_propagates_verbatim(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        code, spawned = self._run(monkeypatch, tmp_path, [0, 5])
-        assert code == 5
-        assert len(spawned) == 2
-        assert "exited 5" in capsys.readouterr().err
-
-    def test_quarantine_code_3_is_not_final(self, monkeypatch, tmp_path):
-        # Exit 3 means quarantined cells under --strict-cells; the
-        # parent's merged pass re-reports those and picks the verdict.
-        # With fake shards nothing actually ran, so the merged pass
-        # executes the campaign itself and exits clean.
-        code, spawned = self._run(monkeypatch, tmp_path, [0, 3])
-        assert code == 0
-        assert len(spawned) == 2
