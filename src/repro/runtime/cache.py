@@ -65,8 +65,12 @@ from repro.workloads.base import WorkloadSpec
 
 
 def _canonical(payload) -> str:
-    """Deterministic JSON text for fingerprinting (sorted keys)."""
-    return json.dumps(payload, sort_keys=True, default=repr)
+    """Deterministic JSON text for fingerprinting (sorted keys).
+
+    A value JSON cannot encode raises ``TypeError`` rather than keying by
+    its ``repr``, which is free to change across library versions.
+    """
+    return json.dumps(payload, sort_keys=True)
 
 
 _FINGERPRINT_MEMO: Dict[int, Tuple[object, str]] = {}

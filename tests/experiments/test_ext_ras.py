@@ -1,29 +1,20 @@
-"""RAS-tolerance experiment: faults inflate tails, medians hold steady."""
+"""RAS-tolerance experiment API: row lookup, rendering, determinism.
+
+Its result claims (faults injected, tails inflate, medians stable) are
+``ext_ras_tolerance.*`` rows of the paper-claims table.
+"""
 
 import pytest
 
 from repro.experiments import ext_ras_tolerance
 
 
-@pytest.fixture(scope="module")
-def result():
-    return ext_ras_tolerance.run(fast=True)
+@pytest.fixture
+def result(fast_result):
+    return fast_result(ext_ras_tolerance)
 
 
 class TestRasTolerance:
-    def test_faults_were_injected(self, result):
-        assert result.faults_were_injected()
-        for row in result.rows:
-            assert row.injected_retries > 0
-            assert row.ecc_corrected > 0
-
-    def test_tails_inflate_medians_stable(self, result):
-        assert result.tails_inflate()
-        assert result.medians_stable()
-        for row in result.rows:
-            assert row.tail_amplification > 1.0
-            assert abs(row.median_shift_pct) < 20.0
-
     def test_covers_all_devices(self, result):
         assert tuple(r.device for r in result.rows) == \
             ext_ras_tolerance.DEVICES

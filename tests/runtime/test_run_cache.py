@@ -7,7 +7,7 @@ import pytest
 
 from repro.cpu.pipeline import PipelineConfig, run_workload
 from repro.hw.cxl import cxl_a
-from repro.runtime.cache import RunCache, run_key
+from repro.runtime.cache import RunCache, _canonical, run_key
 
 
 @pytest.fixture
@@ -57,6 +57,12 @@ class TestRunKey:
         assert run_key(simple_workload, emr, device_a) != run_key(
             simple_workload, emr, other
         )
+
+    def test_non_json_value_raises_instead_of_keying_by_repr(self):
+        assert _canonical({"b": 1, "a": [2.5, "x"]}) == \
+            '{"a": [2.5, "x"], "b": 1}'
+        with pytest.raises(TypeError):
+            _canonical({"a": object()})
 
 
 class TestMemoryTier:
