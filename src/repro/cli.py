@@ -520,7 +520,7 @@ def cmd_worker(args) -> int:
     host, port = _parse_endpoint(args.connect)
     net_chaos = None
     if args.net_chaos is not None:
-        from repro.faults import NetChaosPolicy
+        from repro.dist.chaos import NetChaosPolicy
 
         net_chaos = NetChaosPolicy.from_seed(args.net_chaos)
     cell_chaos = None

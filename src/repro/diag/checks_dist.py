@@ -20,7 +20,6 @@ that these checks enforce on every ``repro validate`` run:
 
 from __future__ import annotations
 
-import json
 import tempfile
 from typing import Iterator, List
 
@@ -28,6 +27,7 @@ from repro.diag.context import DiagContext
 from repro.diag.registry import invariant, subjects
 from repro.diag.report import Violation
 from repro.dist.lease import LeaseTable, WorkUnit
+from repro.keys import canonical_json
 from repro.runtime.executor import RetryPolicy
 
 
@@ -200,8 +200,7 @@ def check_dist_campaign_identity(ctx: DiagContext) -> Iterator[Violation]:
             )
         assembled = solo_records(SMOKE_SPEC, cache_dir)
     reference = solo_records(SMOKE_SPEC, None)
-    if json.dumps(assembled, sort_keys=True) \
-            != json.dumps(reference, sort_keys=True):
+    if canonical_json(assembled) != canonical_json(reference):
         yield Violation(
             layer="dist", check="dist-campaign-identity",
             subject="bit-identity",

@@ -10,7 +10,6 @@ canonical documents (ndarray-normalized, so float bit patterns count).
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 from typing import Iterator
@@ -35,10 +34,6 @@ def _sim_result(ctx: DiagContext):
     )
 
 
-def _canonical_json(doc) -> str:
-    return json.dumps(canonical_document(doc), sort_keys=True)
-
-
 @invariant(
     name="store-roundtrip",
     layer="store",
@@ -59,7 +54,7 @@ def check_store_roundtrip(ctx: DiagContext) -> Iterator[Violation]:
         if sim is not None:
             doc = sim.to_dict()
             writer.add("a" * 64, doc)
-            expected["a" * 64] = ("eventsim", _canonical_json(doc))
+            expected["a" * 64] = ("eventsim", canonical_document(doc))
         target = ctx.targets[0]
         config = PipelineConfig(seed=ctx.seed)
         for index, workload in enumerate(workloads):
@@ -77,11 +72,11 @@ def check_store_roundtrip(ctx: DiagContext) -> Iterator[Violation]:
                 workload_doc=workload_to_dict(workload),
                 platform_doc=platform_to_dict(EMR2S),
             )
-            expected[key] = (workload.name, _canonical_json(doc))
+            expected[key] = (workload.name, canonical_document(doc))
         writer.commit()
         store.refresh()
         for key, (subject, reference) in expected.items():
-            reloaded = _canonical_json(store.get(key))
+            reloaded = canonical_document(store.get(key))
             if reloaded != reference:
                 yield Violation(
                     layer="store",
@@ -196,8 +191,8 @@ def check_store_json_equivalence(ctx: DiagContext) -> Iterator[Violation]:
                     context={"key": key[:16]},
                 )
                 continue
-            reference = _canonical_json(run_result_to_dict(from_json))
-            if _canonical_json(run_result_to_dict(from_store)) != reference:
+            reference = canonical_document(run_result_to_dict(from_json))
+            if canonical_document(run_result_to_dict(from_store)) != reference:
                 yield Violation(
                     layer="store",
                     check="store-json-equivalence",

@@ -1,8 +1,8 @@
-"""A fault-injecting transport: network chaos applied at the frame layer.
+"""Seeded network chaos for the dist protocol, applied at the frame layer.
 
-:class:`ChaosTransport` is a drop-in :class:`~repro.dist.frames
-.FrameTransport` whose *outgoing* path consults a
-:class:`~repro.faults.netchaos.NetChaosPolicy` per frame:
+:class:`NetChaosPolicy` decides, per outgoing worker frame, one of
+:data:`ACTIONS`; :class:`ChaosTransport`, a drop-in
+:class:`~repro.dist.frames.FrameTransport`, carries it out:
 
 * ``dup``     -- the frame ships twice (the receiver's
   :class:`~repro.dist.frames.InOrderChannel` drops the second copy);
@@ -14,30 +14,107 @@
   the frame truncated on the wire;
 * ``drop``    -- the connection dies before the frame ships at all.
 
-Both lethal outcomes surface as :class:`ConnectionError` to the sending
-worker, whose reconnect loop treats them exactly like a real link flap.
-A held (reordered) frame is flushed on :meth:`close`, preserving the
-no-silent-loss invariant for clean shutdowns; an abrupt worker death
-with a held frame is indistinguishable from dying a frame earlier,
-which the lease machinery already covers.
+Decisions are a pure function of ``(seed, stream, frame index)`` --
+``stream`` names one connection attempt (worker name + reconnect
+count), so a replayed campaign sabotages byte-for-byte the same sends.
 
-Chaos lives on the worker side only.  Coordinator replies travel clean,
-which keeps the sabotage surface where the interesting recovery logic
-is (lease release, reassignment, duplicate commits) without making the
-request/reply matching itself probabilistic.
+Chaos must never *silently* lose a frame: both lethal outcomes surface
+as :class:`ConnectionError` to the sending worker, whose reconnect loop
+treats them exactly like a real link flap, and a held (reordered) frame
+is flushed on :meth:`ChaosTransport.close`.  An abrupt worker death
+with a held frame is indistinguishable from dying a frame earlier,
+which the lease machinery already covers.  Chaos lives on the worker
+side only: coordinator replies travel clean, so request/reply matching
+never becomes probabilistic.
 """
 
 from __future__ import annotations
 
 import socket
 import time
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.dist.frames import FrameTransport
-from repro.faults.netchaos import NetChaosPolicy
+from repro.errors import MelodyError
+from repro.rng import generator_for
 
 PARTIAL_STALL_S = 0.01
 """Pause between the two halves of a partial write."""
+
+ACTIONS = ("drop", "dup", "reorder", "delay", "partial", "none")
+"""Everything :meth:`NetChaosPolicy.action` can decide for one frame."""
+
+
+@dataclass(frozen=True)
+class NetChaosPolicy:
+    """Seeded per-frame sabotage schedule for one worker's connections."""
+
+    drop_prob: float = 0.0
+    dup_prob: float = 0.0
+    reorder_prob: float = 0.0
+    delay_prob: float = 0.0
+    partial_prob: float = 0.0
+    delay_s: float = 0.02
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        probs = (
+            self.drop_prob, self.dup_prob, self.reorder_prob,
+            self.delay_prob, self.partial_prob,
+        )
+        if min(probs) < 0 or sum(probs) > 1.0:
+            raise MelodyError(
+                "net chaos probabilities must be >= 0 and sum to <= 1"
+            )
+        if self.delay_s < 0:
+            raise MelodyError("delay_s must be >= 0")
+
+    @classmethod
+    def from_seed(cls, seed: int) -> "NetChaosPolicy":
+        """The standard drill mix (the CLI's ``--net-chaos SEED``).
+
+        Mostly-benign sabotage (dup/reorder/delay) with a real but
+        modest rate of connection loss, so a drilled campaign exercises
+        reconnection and lease recovery without spending most of its
+        wall time reconnecting.
+        """
+        return cls(
+            drop_prob=0.04,
+            dup_prob=0.10,
+            reorder_prob=0.12,
+            delay_prob=0.08,
+            partial_prob=0.06,
+            seed=seed,
+        )
+
+    def action(self, stream: str, index: int) -> str:
+        """The sabotage for frame ``index`` of connection ``stream``."""
+        r = generator_for(
+            self.seed, "netchaos", stream, str(index)
+        ).random()
+        threshold = 0.0
+        for name, prob in (
+            ("drop", self.drop_prob),
+            ("dup", self.dup_prob),
+            ("reorder", self.reorder_prob),
+            ("delay", self.delay_prob),
+            ("partial", self.partial_prob),
+        ):
+            threshold += prob
+            if r < threshold:
+                return name
+        return "none"
+
+    def partial_completes(self, stream: str, index: int) -> bool:
+        """Whether a partial write finishes (vs dropping the link).
+
+        A separate keyed draw so the completion choice does not perturb
+        the action sequence of later frames.
+        """
+        return generator_for(
+            self.seed, "netchaos-partial", stream, str(index)
+        ).random() < 0.5
 
 
 class ChaosTransport(FrameTransport):
@@ -56,9 +133,7 @@ class ChaosTransport(FrameTransport):
         self._sleep = sleep
         self._frame_index = 0
         self._held: Optional[bytes] = None
-        self.actions_taken = {name: 0 for name in
-                              ("drop", "dup", "reorder", "delay",
-                               "partial", "none")}
+        self.actions_taken = {name: 0 for name in ACTIONS}
 
     def _sever(self, reason: str) -> None:
         """Kill the connection and surface it to the caller."""

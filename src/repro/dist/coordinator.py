@@ -33,22 +33,17 @@ guarded by one lock.  The table's clock is injectable for tests.
 
 from __future__ import annotations
 
-import hashlib
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.dist.frames import (
-    FrameError,
-    FrameTransport,
-    InOrderChannel,
-    encode_payload,
-)
+from repro.dist.frames import FrameError, FrameTransport, InOrderChannel
 from repro.dist.lease import Lease, LeaseTable, WorkUnit
 from repro.dist.spec import CampaignSpec
 from repro.errors import MelodyError
+from repro.keys import canonical_json, digest
 from repro.obs.events import events
 from repro.obs.metrics import metrics
 from repro.runtime.executor import FailedCell, RetryPolicy
@@ -115,12 +110,12 @@ def campaign_units(campaign, fingerprint: str) -> List[WorkUnit]:
 
 
 def result_digest(doc: dict) -> str:
-    """Digest of one result document's canonical bytes.
+    """Digest of one result document's canonical text.
 
     Both sides of a duplicate delivery re-encode the *decoded* document,
     so framing differences can never fake a conflict.
     """
-    return hashlib.sha256(encode_payload(doc)).hexdigest()
+    return digest(canonical_json(doc))
 
 
 @dataclass

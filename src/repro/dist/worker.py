@@ -38,13 +38,12 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.dist.chaos import ChaosTransport
+from repro.dist.chaos import ChaosTransport, NetChaosPolicy
 from repro.dist.coordinator import PROTOCOL_VERSION, campaign_units
 from repro.dist.frames import FrameError, FrameTransport
 from repro.dist.spec import CampaignSpec
 from repro.errors import MelodyError
 from repro.faults.chaos import ChaosPolicy, chaos_injection
-from repro.faults.netchaos import NetChaosPolicy
 from repro.obs.events import events
 from repro.obs.metrics import metrics
 

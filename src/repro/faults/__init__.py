@@ -10,10 +10,9 @@ Two halves, both seeded and content-addressed:
 * **Host chaos** (:mod:`repro.faults.chaos`) -- worker kills, injected
   errors, and hangs against the campaign runtime, which the resilient
   executor must retry, time out, or quarantine.
-* **Network chaos** (:mod:`repro.faults.netchaos`) -- seeded per-frame
-  sabotage (drops, duplicates, reordering, latency spikes, partial
-  writes) for the :mod:`repro.dist` coordinator/worker wire, which the
-  lease protocol must absorb without ever changing campaign output.
+
+Network chaos on the dist coordinator/worker wire lives next to its one
+consumer, the frame transport, in :mod:`repro.dist.chaos`.
 
 Importing this package is free of side effects: with no plan installed
 every fault-free code path is byte-identical to a build without the
@@ -31,7 +30,6 @@ from repro.faults.chaos import (
     install_chaos,
 )
 from repro.faults.inject import AppliedFaults, apply_fault_plan
-from repro.faults.netchaos import NetChaosPolicy
 from repro.faults.plan import (
     EPISODE_KINDS,
     FaultEpisode,
@@ -51,7 +49,6 @@ __all__ = [
     "EPISODE_KINDS",
     "FaultEpisode",
     "FaultPlan",
-    "NetChaosPolicy",
     "active_chaos",
     "active_fault_plan",
     "apply_fault_plan",

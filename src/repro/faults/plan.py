@@ -27,8 +27,8 @@ simulator consults :func:`active_fault_plan` on every run, and the
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -37,6 +37,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.keys import canonical_json, digest
 from repro.rng import DEFAULT_SEED
 
 EPISODE_KINDS = (
@@ -101,6 +102,9 @@ class FaultEpisode:
             raise ConfigurationError("ecc_multi_prob must be in [0, 1]")
         if self.ecc_correction_ns < 0:
             raise ConfigurationError("ecc_correction_ns must be >= 0")
+        for name, value in self.to_dict().items():
+            if name != "kind" and not math.isfinite(value):
+                raise ConfigurationError(f"episode {name} must be finite")
 
     @property
     def end_ns(self) -> float:
@@ -175,8 +179,7 @@ class FaultPlan:
             "seed": self.seed,
             "episodes": [e.to_dict() for e in self.episodes],
         }
-        text = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+        return digest(canonical_json(payload), 32)
 
     def episodes_of(self, kind: str) -> Tuple[FaultEpisode, ...]:
         """The plan's episodes of one kind, in schedule order."""
@@ -265,6 +268,16 @@ def install_fault_plan(plan: FaultPlan) -> FaultPlan:
 def active_fault_plan() -> Optional[FaultPlan]:
     """The installed plan, or ``None`` (faults disabled)."""
     return _ACTIVE.get()
+
+
+def enabled_plan_key(plan: Optional[FaultPlan]) -> Optional[str]:
+    """``plan.key()``, or ``None`` for no plan or a disabled one."""
+    return plan.key() if plan is not None and plan.enabled else None
+
+
+def active_plan_key() -> Optional[str]:
+    """:func:`enabled_plan_key` of the installed plan."""
+    return enabled_plan_key(_ACTIVE.get())
 
 
 def clear_fault_plan() -> None:

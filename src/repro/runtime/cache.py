@@ -34,7 +34,6 @@ so a warm disk load never serializes unrelated lookups.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -46,8 +45,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.cpu.pipeline import PipelineConfig, RunResult
 from repro.errors import ConfigurationError
-from repro.faults.plan import active_fault_plan
+from repro.faults.plan import active_plan_key
 from repro.hw.platform import Platform
+from repro.keys import canonical_json, digest
 from repro.obs.metrics import metrics
 from repro.hw.target import MemoryTarget
 from repro.runtime.serialize import (
@@ -62,15 +62,6 @@ from repro.runtime.serialize import (
 )
 from repro.store import ResultStore
 from repro.workloads.base import WorkloadSpec
-
-
-def _canonical(payload) -> str:
-    """Deterministic JSON text for fingerprinting (sorted keys).
-
-    A value JSON cannot encode raises ``TypeError`` rather than keying by
-    its ``repr``, which is free to change across library versions.
-    """
-    return json.dumps(payload, sort_keys=True)
 
 
 _FINGERPRINT_MEMO: Dict[int, Tuple[object, str]] = {}
@@ -108,7 +99,7 @@ def _memoized(obj, build) -> str:
         entry = _FINGERPRINT_MEMO.get(id(obj))
         if entry is not None and entry[0] is obj:
             return entry[1]
-    text = _canonical(build(obj))
+    text = canonical_json(build(obj))
     with _FINGERPRINT_LOCK:
         if len(_FINGERPRINT_MEMO) >= _FINGERPRINT_MEMO_CAP:
             _FINGERPRINT_MEMO.clear()
@@ -135,6 +126,16 @@ def target_fingerprint(target: MemoryTarget) -> Dict[str, object]:
     }
 
 
+def _config_dict(config) -> Dict[str, object]:
+    """A pipeline config's key payload; only dataclass configs key."""
+    if not is_dataclass(config):
+        raise ConfigurationError(
+            f"run_key needs a PipelineConfig dataclass, got "
+            f"{type(config).__name__}"
+        )
+    return shallow_dict(config)
+
+
 def run_key(
     workload: WorkloadSpec,
     platform: Platform,
@@ -147,19 +148,16 @@ def run_key(
         _memoized(workload, workload_to_dict),
         _memoized(platform, platform_to_dict),
         _memoized(target, target_fingerprint),
-        _memoized(
-            config,
-            lambda c: shallow_dict(c) if is_dataclass(c) else repr(c),
-        ),
+        _memoized(config, _config_dict),
     )
     # An active fault plan changes what a run computes, so it joins the
     # key: faulted results can never poison (or be served from) the
     # fault-free cache.  No plan -- or a disabled, episode-free one --
     # contributes nothing, keeping every historical key stable.
-    plan = active_fault_plan()
-    if plan is not None and plan.enabled:
-        parts = parts + (f"fault-plan:{plan.key()}",)
-    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+    plan_key = active_plan_key()
+    if plan_key is not None:
+        parts = parts + (f"fault-plan:{plan_key}",)
+    return digest("\x1f".join(parts))
 
 
 class RunCache:
@@ -227,9 +225,7 @@ class RunCache:
         promotion path, so a promoted run document carries exactly the
         refs its JSON twin does.
         """
-        return hashlib.sha256(
-            _memoized(obj, to_dict).encode("utf-8")
-        ).hexdigest()[:32]
+        return digest(_memoized(obj, to_dict), 32)
 
     def _write_blob(self, obj, to_dict) -> str:
         """Store one workload/platform blob; returns its content ref."""
@@ -498,8 +494,7 @@ class RunCache:
         }
         if not pending:
             return 0
-        plan = active_fault_plan()
-        plan_key = plan.key() if plan is not None and plan.enabled else ""
+        plan_key = active_plan_key() or ""
         writer = self.store.writer(fingerprint, job_id)
         promoted = 0
         for key, result in pending.items():

@@ -34,7 +34,6 @@ a fresh start, never an error.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -43,7 +42,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.faults.plan import active_fault_plan
+from repro.faults.plan import active_plan_key
+from repro.keys import canonical_json, digest
 from repro.obs.metrics import metrics
 from repro.runtime.executor import FailedCell
 
@@ -54,7 +54,6 @@ CHECKPOINT_VERSION = 1
 def campaign_fingerprint(campaign) -> str:
     """Content hash identifying one campaign (and its fault plan)."""
     baseline = campaign.baseline or campaign.platform.local_target()
-    plan = active_fault_plan()
     payload = {
         "name": campaign.name,
         "platform": campaign.platform.name,
@@ -62,12 +61,9 @@ def campaign_fingerprint(campaign) -> str:
         "targets": [t.name for t in campaign.targets],
         "workloads": [w.name for w in campaign.workloads],
         "config": repr(campaign.config),
-        "fault_plan": (
-            plan.key() if plan is not None and plan.enabled else None
-        ),
+        "fault_plan": active_plan_key(),
     }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+    return digest(canonical_json(payload), 32)
 
 
 @dataclass

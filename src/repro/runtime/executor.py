@@ -60,7 +60,6 @@ change which cells run or what they return.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import threading
@@ -84,9 +83,10 @@ from typing import (
 from repro.cpu.pipeline import PipelineConfig, RunResult, run_workload
 from repro.errors import ConfigurationError
 from repro.faults.chaos import active_chaos
-from repro.faults.plan import active_fault_plan
+from repro.faults.plan import active_plan_key
 from repro.hw.platform import Platform
 from repro.hw.target import MemoryTarget
+from repro.keys import digest
 from repro.obs.metrics import metrics
 from repro.obs.trace import CLOCK_WALL, tracing
 from repro.rng import DEFAULT_SEED, generator_for
@@ -150,10 +150,10 @@ class SimCell:
         ]
         # An active fault plan changes what the simulation computes, so it
         # joins the key exactly as it does for analytic cells.
-        plan = active_fault_plan()
-        if plan is not None and plan.enabled:
-            parts.append(f"fault-plan:{plan.key()}")
-        return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+        plan_key = active_plan_key()
+        if plan_key is not None:
+            parts.append(f"fault-plan:{plan_key}")
+        return digest("\x1f".join(parts))
 
     @property
     def batchable(self) -> bool:

@@ -25,7 +25,6 @@ response document; it never fails the query, let alone the server.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -33,7 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MelodyError
 from repro.faults.chaos import ChaosPolicy, chaos_injection
-from repro.faults.plan import FaultPlan, fault_injection
+from repro.faults.plan import FaultPlan, enabled_plan_key, fault_injection
+from repro.keys import canonical_json, digest
 from repro.rng import DEFAULT_SEED
 from repro.runtime.cache import RunCache
 from repro.runtime.executor import CampaignEngine, RetryPolicy, SimCell
@@ -81,21 +81,17 @@ class Query:
 
     def key(self) -> str:
         """Content-addressed identity (the coalescing key)."""
-        plan = self.fault_plan
         payload = {
             "device": self.device,
             "points": [p.to_dict() for p in self.points],
             "seed": self.seed,
-            "fault_plan": (
-                plan.key() if plan is not None and plan.enabled else None
-            ),
+            "fault_plan": enabled_plan_key(self.fault_plan),
             "chaos": (
                 _chaos_fingerprint(self.chaos)
                 if self.chaos is not None else None
             ),
         }
-        text = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+        return digest(canonical_json(payload), 32)
 
     def cells(self) -> List[SimCell]:
         """One batchable sim cell per operating point."""
@@ -371,14 +367,11 @@ def execute_query(
             query.key(), job_id="serve",
             keys=[cell.key() for cell in query.cells()],
         )
-    plan = query.fault_plan
     return {
         "query_key": query.key(),
         "device": query.device,
         "seed": query.seed,
-        "fault_plan": (
-            plan.key() if plan is not None and plan.enabled else None
-        ),
+        "fault_plan": enabled_plan_key(query.fault_plan),
         "points": point_docs,
         "errors": sum(1 for doc in point_docs if "error" in doc),
     }

@@ -32,11 +32,11 @@ are escaped, so the encoding is total, not best-effort).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
+
+from repro.keys import canonical_json, digest
 
 _MARK = "\x00"
 _EXACT_INT = 2 ** 53
@@ -212,9 +212,9 @@ def compile_skeleton(skeleton: Any):
 
 
 def skeleton_ref(skeleton: Any) -> str:
-    """Content address of one skeleton (sha256 of canonical JSON)."""
-    text = json.dumps(skeleton, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
+    """Content address of one skeleton; computed on write only, so
+    readers resolve whatever ref their manifest recorded."""
+    return digest(canonical_json(skeleton), 24)
 
 
 def array_span(skeleton: Any, field: str) -> Tuple[int, int]:
@@ -280,4 +280,4 @@ def canonical_document(doc: Any) -> str:
             return [native(value) for value in node]
         return node
 
-    return json.dumps(native(doc), sort_keys=True)
+    return canonical_json(native(doc))

@@ -1,11 +1,40 @@
 """Shared fixtures for the Melody test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.hw.cxl import cxl_a, cxl_b, cxl_c, cxl_d
 from repro.hw.platform import EMR2S, SKX2S, SPR2S
 from repro.workloads.base import Phase, WorkloadSpec
+
+
+@pytest.fixture
+def run_python():
+    """Run a Python snippet in a fresh interpreter; returns its stdout.
+
+    ``run(code, hash_seed)`` puts this checkout's ``src`` on the path and
+    sets ``PYTHONHASHSEED``, so a test can prove a value independent of
+    both the process and Python's randomized ``hash()``.
+    """
+    src_root = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(code: str, hash_seed: str) -> str:
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = hash_seed
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src_root, env.get("PYTHONPATH")) if part
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    return run
 
 
 @pytest.fixture

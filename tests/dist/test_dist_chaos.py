@@ -10,9 +10,8 @@ import socket
 
 import pytest
 
-from repro.dist.chaos import ChaosTransport
+from repro.dist.chaos import ACTIONS, ChaosTransport, NetChaosPolicy
 from repro.dist.frames import FrameError, FrameTransport, InOrderChannel
-from repro.faults.netchaos import ACTIONS, NetChaosPolicy
 
 
 class ScriptedPolicy:

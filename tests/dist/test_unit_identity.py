@@ -7,11 +7,6 @@ fingerprint, identical across processes, and independent of Python's
 randomized ``hash()``.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.core.melody import Campaign, campaign_cells
@@ -68,17 +63,8 @@ class TestGoldenUnitId:
         assert grid[0].unit_id == GOLDEN_GRID_UNIT_ID
 
     @pytest.mark.parametrize("hash_seed", ["0", "4242"])
-    def test_across_processes_and_hash_seeds(self, hash_seed):
-        src_root = str(Path(__file__).resolve().parents[2] / "src")
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = hash_seed
-        env["PYTHONPATH"] = os.pathsep.join(
-            part for part in (src_root, env.get("PYTHONPATH")) if part
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", _PRINT_UNIT_IDS],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
+    def test_across_processes_and_hash_seeds(self, run_python, hash_seed):
+        out = run_python(_PRINT_UNIT_IDS, hash_seed)
         assert out.splitlines() == [
             ascii(unit_id) for unit_id in unit_ids(golden_campaign())
         ]

@@ -10,7 +10,9 @@ from repro.faults.plan import (
     FaultEpisode,
     FaultPlan,
     active_fault_plan,
+    active_plan_key,
     clear_fault_plan,
+    enabled_plan_key,
     fault_injection,
     install_fault_plan,
     load_plan,
@@ -40,6 +42,15 @@ class TestEpisodeValidation:
     def test_bad_ecc_prob_rejected(self):
         with pytest.raises(ConfigurationError, match="ecc_single_prob"):
             FaultEpisode(kind="ecc", ecc_single_prob=1.5)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_field_rejected(self, value):
+        # A plan's key is canonical JSON, which has no spelling for
+        # NaN or an infinity: such an episode is refused at load.
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultEpisode(kind="ecc", duration_ns=value)
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultEpisode(kind="thermal_throttle", temperature_c=value)
 
     def test_window_mask_half_open(self, storm):
         arrivals = np.array([0.0, 100.0, 599.9, 600.0, 1000.0])
@@ -71,6 +82,16 @@ class TestPlanKey:
         plan = FaultPlan(name="nothing")
         assert not plan.enabled
         assert FaultPlan(name="renamed").key() == plan.key()
+
+    def test_only_an_enabled_plan_has_a_folded_key(self, storm):
+        plan = FaultPlan(name="p", episodes=(storm,))
+        assert enabled_plan_key(None) is None
+        assert enabled_plan_key(FaultPlan(name="nothing")) is None
+        assert enabled_plan_key(plan) == plan.key()
+        assert active_plan_key() is None
+        with fault_injection(plan):
+            assert active_plan_key() == plan.key()
+        assert active_plan_key() is None
 
     def test_episodes_of_filters_by_kind(self, storm):
         plan = FaultPlan(

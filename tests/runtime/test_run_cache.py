@@ -7,7 +7,8 @@ import pytest
 
 from repro.cpu.pipeline import PipelineConfig, run_workload
 from repro.hw.cxl import cxl_a
-from repro.runtime.cache import RunCache, _canonical, run_key
+from repro.errors import ConfigurationError
+from repro.runtime.cache import RunCache, run_key
 
 
 @pytest.fixture
@@ -58,11 +59,14 @@ class TestRunKey:
             simple_workload, emr, other
         )
 
-    def test_non_json_value_raises_instead_of_keying_by_repr(self):
-        assert _canonical({"b": 1, "a": [2.5, "x"]}) == \
-            '{"a": [2.5, "x"], "b": 1}'
-        with pytest.raises(TypeError):
-            _canonical({"a": object()})
+    def test_non_dataclass_config_raises_instead_of_keying_by_repr(
+        self, simple_workload, emr, device_a
+    ):
+        class LooseConfig:
+            seed = 7
+
+        with pytest.raises(ConfigurationError, match="LooseConfig"):
+            run_key(simple_workload, emr, device_a, LooseConfig())
 
 
 class TestMemoryTier:
